@@ -1,7 +1,23 @@
 #!/bin/sh
 # check.sh — the tier-1 verification gate, mirroring .github/workflows/ci.yml.
 # Run from the module root. Fails fast on the first broken step.
+#
+#   ./check.sh            every gate
+#   ./check.sh perfbench  only the perfbench gate (ci.yml runs it this way)
 set -eu
+
+# The benchmark module's self-tests. _perfbench sits outside ./... (the
+# leading underscore), so nothing else builds the entry points it drives.
+perfbench() {
+	echo '== perfbench self-tests'
+	(cd _perfbench && go test .)
+}
+
+case "${1:-}" in
+'') ;;
+perfbench) perfbench; exit ;;
+*) echo "usage: $0 [perfbench]" >&2; exit 2 ;;
+esac
 
 echo '== go build ./...'
 go build ./...
@@ -68,6 +84,8 @@ awk '
 
 echo '== go test ./...'
 go test ./...
+
+perfbench
 
 echo '== go test -race -tags easyio_invariants ./...'
 go test -race -tags easyio_invariants ./...

@@ -75,11 +75,13 @@ const (
 
 // Filesystem errors (aliases of the substrate's).
 var (
-	ErrNotExist = nova.ErrNotExist
-	ErrExist    = nova.ErrExist
-	ErrIsDir    = nova.ErrIsDir
-	ErrNotDir   = nova.ErrNotDir
-	ErrNoSpace  = nova.ErrNoSpace
+	ErrNotExist   = nova.ErrNotExist
+	ErrExist      = nova.ErrExist
+	ErrIsDir      = nova.ErrIsDir
+	ErrNotDir     = nova.ErrNotDir
+	ErrNoSpace    = nova.ErrNoSpace
+	ErrInvalid    = nova.ErrInvalid
+	ErrFileTooBig = nova.ErrFileTooBig
 )
 
 // Config parameterizes a simulated deployment.

@@ -396,6 +396,9 @@ func (fs *FS) ReadAtClass(t *caladan.Task, f *nova.File, off int64, buf []byte, 
 		start = t.Now()
 	}
 	fs.Charge(t, cpu.Syscall)
+	if off < 0 {
+		return 0, nova.ErrInvalid
+	}
 	ino.Mu.Lock(t)
 	if ino.IsDir() {
 		ino.Mu.Unlock()

@@ -458,3 +458,21 @@ func TestManagerBudgetSuspendsBChannel(t *testing.T) {
 	h.eng.Run()
 	h.eng.Shutdown()
 }
+
+func TestNegativeReadOffsetIsInvalid(t *testing.T) {
+	h := newHarness(t, 1, Options{})
+	h.rt.Spawn(0, "r", func(task *caladan.Task) {
+		f, err := h.fs.Create(task, "/f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := h.fs.WriteAt(task, f, 0, []byte("data")); err != nil {
+			t.Error(err)
+		}
+		if _, err := h.fs.ReadAt(task, f, -1, make([]byte, 4)); err != nova.ErrInvalid {
+			t.Errorf("ReadAt(-1) = %v, want nova.ErrInvalid", err)
+		}
+	})
+	h.run()
+}

@@ -126,6 +126,9 @@ func Run(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config) 
 	start := eng.Now()
 	warmEnd := start + sim.Time(cfg.Warmup)
 	end := warmEnd + sim.Time(cfg.Measure)
+	// createErr is the first failed Fileserver create; its uthread stops
+	// and Run reports it.
+	var createErr error
 
 	for i := 0; i < cfg.Uthreads; i++ {
 		i := i
@@ -144,7 +147,10 @@ func Run(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config) 
 					seq++
 					nf, err := fs.Create(task, name)
 					if err != nil {
-						continue
+						if createErr == nil {
+							createErr = fmt.Errorf("filebench: create %s: %w", name, err)
+						}
+						return
 					}
 					_, err = fs.WriteAt(task, nf, 0, wbuf)
 					mustOp("write", err)
@@ -177,5 +183,8 @@ func Run(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config) 
 		})
 	}
 	eng.RunUntil(end)
+	if createErr != nil {
+		return nil, createErr
+	}
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package filebench
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/easyio-sim/easyio/internal/caladan"
@@ -84,5 +85,29 @@ func TestDefaultsPerPersonality(t *testing.T) {
 	c = Config{Personality: Fileserver}.withDefaults()
 	if c.FileSize != 1<<20 {
 		t.Fatalf("fileserver file size = %d", c.FileSize)
+	}
+}
+
+func TestFileserverReportsFailedCreate(t *testing.T) {
+	eng := sim.NewEngine()
+	dev := pmem.New(eng, perfmodel.System(), 1<<30)
+	// Ten usable slots: /fb and the eight-file set leave one for the
+	// four uthreads' working files.
+	opts := core.Options{Nova: nova.Options{NumInodes: 12, EphemeralData: true}}
+	if err := core.Format(dev, opts); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := core.Mount(dev, core.NewEngines(dev, 8), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := caladan.New(eng, caladan.Options{Cores: 2, Seed: 5})
+	_, err = Run(eng, rt, fs, Config{
+		Personality: Fileserver, Cores: 2, Uthreads: 4,
+		Files: 8, Measure: 5 * sim.Millisecond, Seed: 1,
+	})
+	eng.Shutdown()
+	if !errors.Is(err, nova.ErrNoInode) {
+		t.Fatalf("Run = %v, want the create's ErrNoInode", err)
 	}
 }

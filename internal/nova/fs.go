@@ -15,13 +15,16 @@ import (
 
 // Filesystem errors.
 var (
-	ErrNotExist = errors.New("nova: no such file or directory")
-	ErrExist    = errors.New("nova: file exists")
-	ErrIsDir    = errors.New("nova: is a directory")
-	ErrNotDir   = errors.New("nova: not a directory")
-	ErrNotEmpty = errors.New("nova: directory not empty")
-	ErrNoSpace  = errors.New("nova: no space left on device")
-	ErrNoInode  = errors.New("nova: inode table full")
+	ErrNotExist   = errors.New("nova: no such file or directory")
+	ErrExist      = errors.New("nova: file exists")
+	ErrIsDir      = errors.New("nova: is a directory")
+	ErrNotDir     = errors.New("nova: not a directory")
+	ErrNotEmpty   = errors.New("nova: directory not empty")
+	ErrNoSpace    = errors.New("nova: no space left on device")
+	ErrNoInode    = errors.New("nova: inode table full")
+	ErrInvalid    = errors.New("nova: invalid argument")
+	ErrFileTooBig = errors.New("nova: file too large")
+	ErrCorrupt    = errors.New("nova: corrupt log entry")
 )
 
 // Options configures Mkfs and Mount.
@@ -216,8 +219,6 @@ func (fs *FS) allocInode(kind byte) (*Inode, error) {
 			if kind == KindDir {
 				ino.Nlink = 2
 				ino.dirents = make(map[string]uint32)
-			} else {
-				ino.index = make(map[int64]int64)
 			}
 			fs.inodes[num] = ino
 			ino.writeSlot()
@@ -233,20 +234,8 @@ func (fs *FS) allocInode(kind byte) (*Inode, error) {
 func (fs *FS) dropInode(ino *Inode) {
 	fs.dev.WriteAt(ino.slotOff(), []byte{0})
 	fs.dev.Fence()
-	// Free data blocks in sorted order: freeing in map-iteration order
-	// would make allocator state (and thus every later allocation)
-	// nondeterministic across runs.
-	if ino.index != nil {
-		seen := map[int64]bool{}
-		blocks := make([]int64, 0, len(ino.index))
-		for _, b := range ino.index {
-			if !seen[b] {
-				seen[b] = true
-				blocks = append(blocks, b)
-			}
-		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, b := range blocks {
+	for _, b := range ino.index {
+		if b != noBlock {
 			fs.alloc.freeRun(Run{Off: b, Pages: 1})
 		}
 	}

@@ -18,8 +18,12 @@ type Inode struct {
 	logHead int64
 	logTail int64
 
-	// index maps file page number -> data block device offset (files).
-	index map[int64]int64
+	// index is the dense page table of a file: index[pg] is the device
+	// offset of the data block backing file page pg, or noBlock for a
+	// hole. Pages at or past len(index) are holes too. Entries between
+	// len and cap are kept zero, so regrowing within capacity never
+	// brings back a freed block.
+	index []int64
 	// dirents maps name -> child ino (directories).
 	dirents map[string]uint32
 
@@ -49,10 +53,10 @@ func (ino *Inode) IsDir() bool { return ino.Kind == KindDir }
 // BlockFor returns the data block device offset backing file page pg, or
 // -1 if the page is a hole.
 func (ino *Inode) BlockFor(pg int64) int64 {
-	if b, ok := ino.index[pg]; ok {
-		return b
+	if uint64(pg) >= uint64(len(ino.index)) || ino.index[pg] == noBlock {
+		return -1
 	}
-	return -1
+	return ino.index[pg]
 }
 
 // writeSlot persists the DRAM inode header to its table slot.
@@ -125,18 +129,34 @@ func (fs *FS) walkLog(head, tail int64, visit func(Entry)) (pages []int64) {
 // literal to allocate; WriteAt only reads it).
 var endOfPageMark = [1]byte{0}
 
+// noBlock marks a hole in the page table. Offset 0 holds the superblock,
+// so no data block ever lives there.
+const noBlock = 0
+
+// holes is the zero source the page table grows from (a package var so
+// the hot path has no make to allocate; append only reads it).
+var holes [256]int64
+
 // applyWriteEntry updates the DRAM index for a (committed or in-commit)
 // write entry, appending the replaced blocks onto dst so the caller can
 // free them after commit.
 func (ino *Inode) applyWriteEntry(e *Entry, dst []Run) []Run {
 	replaced := dst
 	firstPg := e.FileOff / BlockSize
-	for i := int64(0); i < int64(e.Pages); i++ {
-		pg := firstPg + i
-		if old, ok := ino.index[pg]; ok {
+	for end := firstPg + int64(e.Pages); int64(len(ino.index)) < end; {
+		if end <= int64(cap(ino.index)) {
+			ino.index = ino.index[:end] // the tail past len is kept zero
+			break
+		}
+		grow := min(end-int64(len(ino.index)), int64(len(holes)))
+		ino.index = append(ino.index, holes[:grow]...)
+	}
+	pages := ino.index[firstPg : firstPg+int64(e.Pages)]
+	for i, old := range pages {
+		if old != noBlock {
 			replaced = appendRun(replaced, old)
 		}
-		ino.index[pg] = e.BlockOff + i*BlockSize
+		pages[i] = e.BlockOff + int64(i)*BlockSize
 	}
 	if end := e.FileOff + e.Size; end > ino.Size {
 		ino.Size = end
@@ -170,10 +190,7 @@ func (ino *Inode) ExtentRuns(dst []Run, off, n int64) []Run {
 	firstPg := off / BlockSize
 	lastPg := (off + n - 1) / BlockSize
 	for pg := firstPg; pg <= lastPg; pg++ {
-		b, ok := ino.index[pg]
-		if !ok {
-			b = -1
-		}
+		b := ino.BlockFor(pg)
 		if len(runs) > 0 {
 			last := &runs[len(runs)-1]
 			if b != -1 && last.Off != -1 && last.Off+last.Bytes() == b {

@@ -1,8 +1,6 @@
 package nova
 
 import (
-	"sort"
-
 	"github.com/easyio-sim/easyio/internal/caladan"
 	"github.com/easyio-sim/easyio/internal/perfmodel"
 	"github.com/easyio-sim/easyio/internal/sim"
@@ -36,6 +34,9 @@ func (fs *FS) Append(t *caladan.Task, f *File, data []byte) (int, error) {
 func (fs *FS) writeLocked(t *caladan.Task, ino *Inode, off int64, data []byte) (int, error) {
 	if ino.IsDir() {
 		return 0, ErrIsDir
+	}
+	if off < 0 {
+		return 0, ErrInvalid
 	}
 	if len(data) == 0 {
 		return 0, nil
@@ -76,8 +77,16 @@ type WritePrep struct {
 
 // PrepareWrite charges the indexing/allocation cost, allocates CoW blocks
 // and builds the page-aligned buffer including read-modify-write of
-// partial head/tail pages.
+// partial head/tail pages. A write may not end past the device's data
+// capacity (ErrFileTooBig), which bounds the page table at one entry per
+// device block.
 func (fs *FS) PrepareWrite(t *caladan.Task, ino *Inode, off int64, data []byte) (*WritePrep, []Run, error) {
+	if off < 0 {
+		return nil, nil, ErrInvalid
+	}
+	if int64(len(data)) > fs.alloc.nblocks*BlockSize-off {
+		return nil, nil, ErrFileTooBig
+	}
 	firstPg := off / BlockSize
 	lastPg := (off + int64(len(data)) - 1) / BlockSize
 	pages := int(lastPg - firstPg + 1)
@@ -238,6 +247,9 @@ func (fs *FS) readLocked(t *caladan.Task, ino *Inode, off int64, buf []byte) (in
 	if ino.IsDir() {
 		return 0, ErrIsDir
 	}
+	if off < 0 {
+		return 0, ErrInvalid
+	}
 	if off >= ino.Size {
 		return 0, nil
 	}
@@ -326,6 +338,9 @@ func (fs *FS) Truncate(t *caladan.Task, f *File, size int64) error {
 	if ino.IsDir() {
 		return ErrIsDir
 	}
+	if size < 0 {
+		return ErrInvalid
+	}
 	entries := []*Entry{{Type: etSetAttr, NewSize: size, Mtime: fs.Now()}}
 	// Shrinking to mid-page: CoW the boundary block with its tail zeroed,
 	// or a later extension would resurrect the stale bytes.
@@ -352,21 +367,18 @@ func (fs *FS) Truncate(t *caladan.Task, f *File, size int64) error {
 	}
 	tail := fs.AppendEntries(ino, entries)
 	fs.CommitTail(ino, tail)
-	if size < ino.Size {
-		// Free truncated blocks in sorted page order; map order would
-		// leave the allocator bitmap history nondeterministic.
-		firstDead := (size + BlockSize - 1) / BlockSize
-		var dead []int64
-		for pg := range ino.index {
-			if pg >= firstDead {
-				dead = append(dead, pg)
+	if firstDead := (size + BlockSize - 1) / BlockSize; firstDead < int64(len(ino.index)) {
+		// Free the cut pages and zero them before the reslice: a later
+		// write that regrows the table within its capacity must find
+		// holes there, not freed blocks.
+		dead := ino.index[firstDead:]
+		for i, b := range dead {
+			if b != noBlock {
+				fs.alloc.freeRun(Run{Off: b, Pages: 1})
 			}
+			dead[i] = noBlock
 		}
-		sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-		for _, pg := range dead {
-			fs.alloc.freeRun(Run{Off: ino.index[pg], Pages: 1})
-			delete(ino.index, pg)
-		}
+		ino.index = ino.index[:firstDead]
 	}
 	ino.Size = size
 	if boundary != nil {

@@ -1,6 +1,9 @@
 package nova
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Mount-time recovery. Order matters:
 //
@@ -50,11 +53,13 @@ func (fs *FS) recover() error {
 		}
 		if di.kind == KindDir {
 			ino.dirents = make(map[string]uint32)
-		} else {
-			ino.index = make(map[int64]int64)
 		}
 		fs.inodes[num] = ino
-		logPages[ino.Num] = fs.replayLog(ino)
+		pages, err := fs.replayLog(ino)
+		if err != nil {
+			return err
+		}
+		logPages[ino.Num] = pages
 	}
 	if fs.inodes[RootIno] == nil {
 		return ErrNotExist
@@ -67,38 +72,25 @@ func (fs *FS) recover() error {
 		if ino := fs.inodes[num]; ino != nil && !reachable[uint32(num)] {
 			fs.dev.WriteAt(ino.slotOff(), []byte{0})
 			fs.inodes[num] = nil
-			delete(logPages, uint32(num))
 		}
 	}
 	fs.dev.Fence()
 
-	// Step 4: allocator rebuild, in sorted inode order so the bitmap is
-	// reconstructed deterministically (map order would not be).
-	logInos := make([]uint32, 0, len(logPages))
-	for num := range logPages {
-		logInos = append(logInos, num)
-	}
-	sort.Slice(logInos, func(i, j int) bool { return logInos[i] < logInos[j] })
-	for _, num := range logInos {
-		for _, p := range logPages[num] {
+	// Step 4: allocator rebuild, walking the surviving inodes' log chains
+	// and page tables.
+	for num := int64(1); num < fs.sb.numInodes; num++ {
+		ino := fs.inodes[num]
+		if ino == nil {
+			continue
+		}
+		for _, p := range logPages[ino.Num] {
 			fs.alloc.markUsed(p, 1)
 			fs.logPageCount++
 		}
-	}
-	for num := int64(1); num < fs.sb.numInodes; num++ {
-		ino := fs.inodes[num]
-		if ino == nil || ino.index == nil {
-			continue
-		}
-		blocks := make([]int64, 0, len(ino.index))
 		for _, b := range ino.index {
-			blocks = append(blocks, b)
-		}
-		// Sorted so the rebuilt allocator bitmap is filled in a
-		// deterministic order regardless of map iteration.
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, b := range blocks {
-			fs.alloc.markUsed(b, 1)
+			if b != noBlock {
+				fs.alloc.markUsed(b, 1)
+			}
 		}
 	}
 	return nil
@@ -120,11 +112,13 @@ func (fs *FS) rollbackTail(ino uint32, tail int64) {
 }
 
 // replayLog applies an inode's committed entries, enforcing SN validation,
-// and returns the log pages in use.
-func (fs *FS) replayLog(ino *Inode) []int64 {
+// and returns the log pages in use. A committed entry that points outside
+// the device makes the log corrupt (ErrCorrupt).
+func (fs *FS) replayLog(ino *Inode) ([]int64, error) {
 	validate := fs.opts.ValidateSN
 	truncated := false
 	var truncateAt int64
+	var err error
 	pages := fs.walkLogPositions(ino.logHead, ino.logTail, func(e Entry, entryPos int64, next int64) bool {
 		if e.Type == etWrite && e.HasSN && validate != nil &&
 			!validate(int(e.EngineID), int(e.ChanID), e.SN) {
@@ -134,32 +128,36 @@ func (fs *FS) replayLog(ino *Inode) []int64 {
 			truncateAt = entryPos
 			return false
 		}
-		fs.applyRecovered(ino, e)
-		return true
+		err = fs.applyRecovered(ino, e)
+		return err == nil
 	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: inode %d: %v", ErrCorrupt, ino.Num, err)
+	}
 	if truncated {
 		fs.CommitTail(ino, truncateAt)
 	}
-	return pages
+	return pages, nil
 }
 
 // applyRecovered folds one committed entry into DRAM state.
-func (fs *FS) applyRecovered(ino *Inode, e Entry) {
+func (fs *FS) applyRecovered(ino *Inode, e Entry) error {
 	switch e.Type {
 	case etWrite:
-		if ino.index == nil {
-			return
+		if ino.IsDir() {
+			return nil
 		}
-		ecopy := e
-		ino.applyWriteEntry(&ecopy, nil) // replaced blocks implicitly freed by rebuild
+		if err := fs.checkWriteEntry(&e); err != nil {
+			return err
+		}
+		ino.applyWriteEntry(&e, nil) // replaced blocks implicitly freed by rebuild
 	case etSetAttr:
-		if e.NewSize < ino.Size {
-			firstDead := (e.NewSize + BlockSize - 1) / BlockSize
-			for pg := range ino.index {
-				if pg >= firstDead {
-					delete(ino.index, pg)
-				}
-			}
+		if e.NewSize < 0 {
+			return fmt.Errorf("setattr to size %d", e.NewSize)
+		}
+		if firstDead := (e.NewSize + BlockSize - 1) / BlockSize; firstDead < int64(len(ino.index)) {
+			clear(ino.index[firstDead:])
+			ino.index = ino.index[:firstDead]
 		}
 		ino.Size = e.NewSize
 		ino.Mtime = e.Mtime
@@ -174,6 +172,23 @@ func (fs *FS) applyRecovered(ino *Inode, e Entry) {
 	case etLinkChange:
 		ino.Nlink = uint32(int32(ino.Nlink) + e.LinkDelta)
 	}
+	return nil
+}
+
+// checkWriteEntry bounds a recovered write entry: its file pages must fit
+// the device's data capacity (the most any live write can reach) and its
+// blocks must lie in the data area.
+func (fs *FS) checkWriteEntry(e *Entry) error {
+	firstPg := e.FileOff / BlockSize
+	endPg := firstPg + int64(e.Pages)
+	if e.FileOff < 0 || e.Pages < 0 || endPg > fs.alloc.nblocks {
+		return fmt.Errorf("write entry maps file pages [%d, %d)", firstPg, endPg)
+	}
+	if e.BlockOff < fs.sb.dataOff || e.BlockOff%BlockSize != 0 ||
+		e.BlockOff > fs.sb.size-int64(e.Pages)*BlockSize {
+		return fmt.Errorf("write entry maps %d blocks at device offset %d", e.Pages, e.BlockOff)
+	}
+	return nil
 }
 
 // walkLogPositions is walkLog with entry positions exposed; visit returns
