@@ -48,15 +48,15 @@
 //	handlestate   - fsapi/nova handles: Open -> use -> Close, no
 //	              use-after-close, close on all paths
 //
-// svclifecycle/horizonproto/epochbudget/handlestate/persistorder are
-// declarative specs on the typestate protocol engine (typestate.go,
-// protocols.go): lifecycle automata declared as data, checked by
-// per-path abstract interpretation with per-function ProtocolSummary
-// facts propagated bottom-up over the call-graph SCCs; findings carry
-// the concrete state trace. fencehygiene/recoverypurity ride on the
-// persistence dataflow engine (dataflow.go): a path-sensitive walker
-// abstracts each function into a persistence automaton (pending-store
-// set, fence state) propagated bottom-up over the call-graph SCCs.
+// svclifecycle/horizonproto/epochbudget/handlestate/parityepoch/
+// persistorder are declarative specs on the typestate protocol engine
+// (typestate.go, protocols.go): lifecycle automata declared as data,
+// checked by per-path abstract interpretation with per-function
+// ProtocolSummary facts propagated bottom-up over the call-graph SCCs;
+// findings carry the concrete state trace. fencehygiene reads its
+// redundant-fence and leaked-store facts from persistorder's walk on
+// the same engine; recoverypurity is a per-file syntactic check that
+// uses no engine.
 //
 // lockorder/confinement/atomichygiene are *global* analyzers
 // (Analyzer.Global): their findings are a property of the whole module,

@@ -72,7 +72,7 @@ func computeAtomicHygiene(mod *ModuleInfo) {
 	ai := &atomicInfo{}
 	mod.atomicH = ai
 
-	atomicFields := map[fieldKey]bool{}        // fields accessed via sync/atomic funcs
+	atomicFields := map[fieldKey]bool{}         // fields accessed via sync/atomic funcs
 	atomicSites := map[*ast.SelectorExpr]bool{} // the &x.f selectors inside those calls
 	guardedWrite := map[fieldKey]token.Pos{}    // first lock-guarded write per field
 	var accesses []struct {

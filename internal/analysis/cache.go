@@ -45,8 +45,10 @@ import (
 // cacheVersion invalidates every entry when the analyzer semantics or
 // the entry format change. v2: global-analyzer entries (runner.go) and
 // LRU eviction. v3: typestate protocol findings (with traces) in the
-// entries, and the protocol-spec fingerprint in the key prelude.
-const cacheVersion = "easyio-vet-v3"
+// entries, and the protocol-spec fingerprint in the key prelude. v4:
+// fencehygiene runs on the typestate engine, so os.Exit and log.Fatal*
+// end a path like panic and no longer leak pending stores.
+const cacheVersion = "easyio-vet-v4"
 
 // defaultCacheEntries bounds the cache directory: edits churn closure
 // hashes, so without a cap the directory grows by a few entries per

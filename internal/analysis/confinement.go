@@ -191,7 +191,7 @@ func computeConfinement(mod *ModuleInfo) {
 	}
 
 	// Evidence scans over every function in the module.
-	mut := map[*types.Named]confEvidence{}      // first non-init field write
+	mut := map[*types.Named]confEvidence{}       // first non-init field write
 	escapes := map[*types.Named][]confEvidence{} // goroutine captures, package vars
 	recordMut := func(n *types.Named, ev confEvidence) {
 		if _, ok := mut[n]; !ok {

@@ -18,7 +18,11 @@ package analysis
 //     their callers dispatch dynamically (the DataMover pattern), so the
 //     static graph cannot see who fences after them.
 //
-// internal/pmem is exempt as the device implementation layer.
+// Both facts come from the persistorder protocol's walk on the
+// typestate engine (typestate.go): a Fence executed on a must-clean path
+// is recorded as redundant, and a root's leaked store is the first site
+// of its exit pending trace. internal/pmem is exempt as the device
+// implementation layer.
 var FenceHygiene = &Analyzer{
 	Name: "fencehygiene",
 	Doc:  "no redundant back-to-back fences, no stores left unfenced at call-graph roots",
@@ -29,33 +33,39 @@ func runFenceHygiene(pass *Pass) {
 	if pass.Mod == nil || deviceImplPkg(pass.Pkg) {
 		return
 	}
-	redundant := func(ps *PersistSummary) {
-		for _, pos := range ps.Redundant {
+	res := pass.Mod.protocolResult(persistProtocol.Name)
+	if res == nil {
+		return
+	}
+	redundant := func(sum *ProtocolSummary) {
+		for _, pos := range sum.redundant {
 			pass.Reportf(pos, "redundant Device.Fence: the device is already clean on every path here (no persistent store since the previous fence); delete it — fences are charged on the critical path")
 		}
 	}
 	iface := pass.Mod.interfaceMethodNames()
 	for _, n := range pass.Mod.NodesOf(pass.Pkg) {
-		ps := pass.Mod.PersistSummaryFor(n.Obj)
-		if ps == nil {
+		sum := res.sums[n.Obj]
+		if sum == nil {
 			continue
 		}
-		redundant(ps)
+		redundant(sum)
 		// Leak check: only judged at roots the static graph can close
 		// over — no callers, and not an interface-implementing method.
-		if len(n.Callers) > 0 || len(ps.PendingAtExit) == 0 {
+		if len(n.Callers) > 0 || len(sum.exitTrace) == 0 {
 			continue
 		}
 		if n.Decl.Recv != nil && iface[n.Decl.Name.Name] {
 			continue
 		}
-		first := ps.PendingAtExit[0]
-		fp := pass.Pkg.Fset.Position(first.Pos)
-		pass.Reportf(first.Pos,
+		first := sum.exitTrace[0]
+		fp := pass.Pkg.Fset.Position(first.pos)
+		pass.Reportf(first.pos,
 			"persistent store %s (%s:%d) can exit %s unfenced, and no caller exists to fence it; the store may never become durable",
-			first.Desc, shortFile(fp.Filename), fp.Line, n.Decl.Name.Name)
+			first.desc, shortFile(fp.Filename), fp.Line, n.Decl.Name.Name)
 	}
-	for _, ps := range pass.Mod.PersistLitsOf(pass.Pkg) {
-		redundant(ps)
+	for _, sum := range res.lits {
+		if sum.node.Pkg == pass.Pkg {
+			redundant(sum)
+		}
 	}
 }

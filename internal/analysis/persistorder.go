@@ -31,8 +31,8 @@ var PersistOrder = &Analyzer{
 // persistProtocol is the persistence automaton as a typestate spec. May
 // mode: a violation is "some path reaches a commit point with pending
 // (unfenced) stores", so pending-site traces union at joins and loops
-// analyze body-once + zero-iteration merge — the engine reproduces the
-// retired dataflow traversal byte-for-byte.
+// analyze body-once + zero-iteration merge. The same walk records the
+// fencehygiene facts (redundant fences, pending stores at exit).
 var persistProtocol = &Protocol{
 	Name:            "persistorder",
 	Doc:             PersistOrder.Doc,

@@ -4,12 +4,12 @@ package analysis
 // declared as in-tree Go data — states, a start/accept set, transitions
 // keyed by method/function matchers, and an error message per illegal
 // edge — and the engine does the rest: per-path abstract interpretation
-// over the typed ASTs with the established branch/defer/panic handling
-// (mirroring dataflow.go's pWalker), per-function ProtocolSummary facts
-// (entry-state → exit-state map plus must-pass-through obligations)
-// propagated bottom-up over the call-graph SCCs with bounded widening at
-// loops and recursion, and violations reported at call sites with the
-// concrete state trace from the protocol's start.
+// over the typed ASTs with branch/defer/crash handling, per-function
+// ProtocolSummary facts (entry-state → exit-state map plus
+// must-pass-through obligations) propagated bottom-up over the
+// call-graph SCCs with bounded widening at loops and recursion, and
+// violations reported at call sites with the concrete state trace from
+// the protocol's start.
 //
 // Three protocol shapes share one walker:
 //
@@ -23,10 +23,12 @@ package analysis
 //
 //   - Ambient may-mode (persistorder): the persistence protocol, where a
 //     violation is "some path reaches the commit with pending stores".
-//     The walker tracks a pending-site trace (may-union at joins) and a
-//     must-cleared flag, reproducing the retired bespoke persistence
-//     traversal byte-for-byte, including its loop (body-once + merge)
-//     and defer-replay semantics.
+//     The walker tracks a pending-site trace (may-union at joins), a
+//     must-cleared flag, and a must-clean flag (a clear ran and nothing
+//     touched the device since), with loops analyzed body-once + merge
+//     and defers replayed at exits. The same walk yields fencehygiene's
+//     facts: clears executed while clean (redundant fences) and the
+//     pending trace left at a call-graph root (leaked stores).
 //
 //   - Per-value (handlestate): each tracked object (a file handle) runs
 //     its own automaton keyed by its types.Object, with nil-guard error
@@ -34,7 +36,7 @@ package analysis
 //     tracking), ownership transfer on return, and exit obligations
 //     (accept states) checked on every normal exit after defer replay.
 //
-// The five protocol specs live in protocols.go / persistorder.go;
+// The six protocol specs live in protocols.go / persistorder.go;
 // TypestateFingerprint feeds the spec text into the fact-cache key so a
 // protocol edit invalidates warm entries.
 
@@ -48,6 +50,11 @@ import (
 	"strings"
 	"time"
 )
+
+// maxPendingSites bounds a may-mode pending trace so the SCC fixpoint
+// terminates; overflow keeps the first sites (the ones a finding would
+// cite anyway).
+const maxPendingSites = 16
 
 // nowMS is a monotonic millisecond clock for the per-protocol timing
 // breakdown surfaced in BENCH_vet.json.
@@ -323,6 +330,12 @@ type ProtocolSummary struct {
 	mustClear bool
 	exitTrace []tsStep
 	condClear []token.Pos
+	// May-mode clean facts (fencehygiene): some path executes a logged
+	// or clearing op; every normal exit leaves the device clean; clears
+	// executed while the path was already clean.
+	mayTouch  bool
+	cleanExit bool
+	redundant []token.Pos
 	// Per-value facts, indexed by parameter position: the function uses
 	// / provably closes / escapes a tracked-type parameter; returnsFresh
 	// marks a function returning a freshly created open value.
@@ -340,6 +353,12 @@ func (s *ProtocolSummary) fingerprint() string {
 	}
 	if s.mustClear {
 		b.WriteString("C")
+	}
+	if s.mayTouch {
+		b.WriteString("M")
+	}
+	if s.cleanExit {
+		b.WriteString("K")
 	}
 	if s.returnsFresh {
 		b.WriteString("R")
@@ -381,6 +400,8 @@ func (s *ProtocolSummary) fingerprint() string {
 	}
 	b.WriteString("|")
 	b.WriteString(strconv.Itoa(len(s.viols)))
+	b.WriteString("|")
+	b.WriteString(strconv.Itoa(len(s.redundant)))
 	return b.String()
 }
 
@@ -408,16 +429,19 @@ func (o *objTrack) clone() *objTrack {
 	return &c
 }
 
-// tsState is the abstract state along one control-flow path.
+// tsState is the abstract state along one control-flow path. In may
+// mode, clean means a clear executed and nothing may have touched the
+// device since; a clean path always has an empty trace.
 type tsState struct {
 	bits    stateset
 	cleared bool
+	clean   bool
 	trace   []tsStep
 	objs    map[types.Object]*objTrack
 }
 
 func (s *tsState) clone() *tsState {
-	c := &tsState{bits: s.bits, cleared: s.cleared}
+	c := &tsState{bits: s.bits, cleared: s.cleared, clean: s.clean}
 	c.trace = append(c.trace, s.trace...)
 	if s.objs != nil {
 		c.objs = make(map[types.Object]*objTrack, len(s.objs))
@@ -447,11 +471,11 @@ func addStep(steps []tsStep, st tsStep) []tsStep {
 }
 
 // merge joins two live states. Ambient bits union; the may-mode cleared
-// flag intersects and traces union (may-analysis); must-mode traces keep
-// the first non-empty witness. Per-value states union per object, with
-// values absent on one side gaining the absent bit.
+// and clean flags intersect and traces union (may-analysis); must-mode
+// traces keep the first non-empty witness. Per-value states union per
+// object, with values absent on one side gaining the absent bit.
 func (s *tsState) merge(o *tsState, pc *protoC) *tsState {
-	out := &tsState{bits: s.bits | o.bits, cleared: s.cleared && o.cleared}
+	out := &tsState{bits: s.bits | o.bits, cleared: s.cleared && o.cleared, clean: s.clean && o.clean}
 	if pc.p.May {
 		out.trace = append(out.trace, s.trace...)
 		for _, st := range o.trace {
@@ -496,7 +520,7 @@ func (s *tsState) merge(o *tsState, pc *protoC) *tsState {
 }
 
 func (s *tsState) setFrom(o *tsState) {
-	s.bits, s.cleared, s.trace, s.objs = o.bits, o.cleared, o.trace, o.objs
+	s.bits, s.cleared, s.clean, s.trace, s.objs = o.bits, o.cleared, o.clean, o.trace, o.objs
 }
 
 // sig renders the convergence-relevant part of a state for loop
@@ -528,7 +552,8 @@ func (s *tsState) sig() string {
 }
 
 // tsDefer is one deferred call's protocol effect, replayed at exits in
-// reverse registration order.
+// reverse registration order. With neither op nor callee it is an
+// unknown call, which drops the may-mode clean proof.
 type tsDefer struct {
 	pos token.Pos
 	// op + recvObj/argObjs: a matched protocol op to replay.
@@ -712,10 +737,13 @@ func (w *tsWalker) finish() {
 		if len(w.exits) == 0 {
 			return
 		}
-		sum.mustClear = true
+		sum.mustClear, sum.cleanExit = true, true
 		for _, ex := range w.exits {
 			if !ex.cleared {
 				sum.mustClear = false
+			}
+			if !ex.clean {
+				sum.cleanExit = false
 			}
 			for _, st := range ex.trace {
 				sum.exitTrace = addStep(sum.exitTrace, st)
@@ -768,7 +796,7 @@ func (w *tsWalker) finish() {
 }
 
 // ---------------------------------------------------------------------
-// Control flow (mirrors dataflow.go's pWalker).
+// Control flow.
 
 func (w *tsWalker) stmts(list []ast.Stmt, st *tsState) (*tsState, bool) {
 	for _, s := range list {
@@ -1225,9 +1253,10 @@ func (w *tsWalker) call(call *ast.CallExpr, st *tsState) {
 			return // type conversion
 		}
 	}
-	// Dynamic dispatch: unknown protocol effect; ambient state is kept
-	// (may-mode historically only dropped the clean proof) and tracked
-	// values passed as arguments escape via escapeScan.
+	// Dynamic dispatch: unknown protocol effect. Ambient state is kept
+	// but the target may touch the device, so the clean proof drops;
+	// tracked values passed as arguments escape via escapeScan.
+	st.clean = false
 }
 
 // applyOp applies one matched protocol op to the path state.
@@ -1240,9 +1269,14 @@ func (w *tsWalker) applyOp(c *opC, call *ast.CallExpr, sel *ast.SelectorExpr, st
 	p := w.pc.p
 	if p.May {
 		// May-mode (persistorder): clears reset the pending trace;
-		// logged ops append; commit points fire on pending paths.
+		// logged ops append; commit points fire on pending paths. A
+		// clear on an already-clean path is redundant (fencehygiene).
+		w.sum.mayTouch = true
 		if c.op.Clears {
-			st.cleared, st.trace = true, nil
+			if st.clean {
+				w.sum.redundant = addPos(w.sum.redundant, call.Pos())
+			}
+			st.cleared, st.clean, st.trace = true, true, nil
 			return
 		}
 		if w.isCommit(c.op.Commit, call) {
@@ -1258,6 +1292,7 @@ func (w *tsWalker) applyOp(c *opC, call *ast.CallExpr, sel *ast.SelectorExpr, st
 		}
 		if c.op.Logged {
 			st.trace = addStep(st.trace, tsStep{pos: call.Pos(), desc: desc})
+			st.clean = false
 		}
 		return
 	}
@@ -1293,15 +1328,19 @@ func (w *tsWalker) applyOp(c *opC, call *ast.CallExpr, sel *ast.SelectorExpr, st
 // addCondClear records a commit point reachable with no prior clear
 // since entry (persistorder's commit-no-prior-fence fact).
 func (w *tsWalker) addCondClear(pos token.Pos) {
-	if w.entryIdx >= 0 {
-		return
+	if w.entryIdx < 0 {
+		w.sum.condClear = addPos(w.sum.condClear, pos)
 	}
-	for _, p := range w.sum.condClear {
+}
+
+// addPos appends pos unless already present.
+func addPos(list []token.Pos, pos token.Pos) []token.Pos {
+	for _, p := range list {
 		if p == pos {
-			return
+			return list
 		}
 	}
-	w.sum.condClear = append(w.sum.condClear, pos)
+	return append(list, pos)
 }
 
 // applyOpPV applies a matched op to each tracked value it touches.
@@ -1385,8 +1424,13 @@ func (w *tsWalker) lookup(id *ast.Ident, st *tsState) *objTrack {
 func (w *tsWalker) applyCallee(call *ast.CallExpr, fn *types.Func, cs *ProtocolSummary, st *tsState) {
 	p := w.pc.p
 	if p.May {
-		// Historical persistence order: conditional commits first, then
-		// the must-clear effect, then pending carried out of the callee.
+		// Conditional commits first, then the must-clear effect, then
+		// pending carried out of the callee. A callee that must clear
+		// leaves the path clean iff every one of its exits is clean;
+		// one that only may touch the device drops the clean proof.
+		if cs.mayTouch {
+			w.sum.mayTouch = true
+		}
 		if len(cs.condClear) > 0 {
 			if len(st.trace) > 0 {
 				w.report(&ProtoViolation{
@@ -1401,13 +1445,16 @@ func (w *tsWalker) applyCallee(call *ast.CallExpr, fn *types.Func, cs *ProtocolS
 			}
 		}
 		if cs.mustClear {
-			st.cleared, st.trace = true, nil
+			st.cleared, st.clean, st.trace = true, cs.cleanExit, nil
+		} else if cs.mayTouch {
+			st.clean = false
 		}
 		if len(cs.exitTrace) > 0 {
 			st.trace = addStep(st.trace, tsStep{
 				pos:  call.Pos(),
 				desc: fmt.Sprintf(p.CallPendingDesc, fn.Name()),
 			})
+			st.clean = false
 		}
 		return
 	}
@@ -1769,6 +1816,9 @@ func (w *tsWalker) escapeScan(s ast.Stmt, st *tsState) {
 func (w *tsWalker) deferCall(call *ast.CallExpr, st *tsState) {
 	if c, sel := w.matchOp(call); c != nil {
 		d := tsDefer{pos: call.Pos(), op: c, desc: opDesc(call, sel), enclosed: call}
+		if w.pc.p.May {
+			w.sum.mayTouch = true
+		}
 		if w.pc.p.PerValue {
 			if c.op.Recv != "" && sel != nil {
 				if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
@@ -1814,11 +1864,15 @@ func (w *tsWalker) deferCall(call *ast.CallExpr, st *tsState) {
 				}
 			})
 		}
+		if cs.mayTouch {
+			w.sum.mayTouch = true
+		}
 		w.addDefer(tsDefer{pos: call.Pos(), callee: cs, cfn: fn, enclosed: call})
 		return
 	}
-	// Unknown deferred call: tracked arguments escape; no ambient
-	// effect (may-mode historically only dropped the clean proof).
+	// Unknown deferred call: tracked arguments escape; the only ambient
+	// effect is the dropped clean proof at replay.
+	w.addDefer(tsDefer{pos: call.Pos()})
 	if w.pc.p.PerValue {
 		for _, a := range call.Args {
 			if id, ok := ast.Unparen(a).(*ast.Ident); ok {
@@ -1847,9 +1901,10 @@ func (w *tsWalker) replayDefer(d *tsDefer, ex *tsState) {
 		switch {
 		case p.May:
 			if d.op.op.Clears {
-				ex.cleared, ex.trace = true, nil
+				ex.cleared, ex.clean, ex.trace = true, true, nil
 			} else if d.op.op.Logged {
 				ex.trace = addStep(ex.trace, tsStep{pos: d.pos, desc: d.desc})
+				ex.clean = false
 			}
 		case p.PerValue:
 			if d.recvObj != nil {
@@ -1868,16 +1923,23 @@ func (w *tsWalker) replayDefer(d *tsDefer, ex *tsState) {
 		return
 	}
 	if d.callee == nil {
+		ex.clean = false
 		return
 	}
 	cs := d.callee
 	switch {
 	case p.May:
+		// Unlike a direct call, a deferred must-clear callee leaves the
+		// exit clean whatever its own exits were.
+		if cs.mayTouch {
+			ex.clean = false
+		}
 		if cs.mustClear {
-			ex.cleared, ex.trace = true, nil
+			ex.cleared, ex.clean, ex.trace = true, true, nil
 		}
 		if len(cs.exitTrace) > 0 {
 			ex.trace = addStep(ex.trace, tsStep{pos: d.pos, desc: fmt.Sprintf(p.CallPendingDesc, d.cfn.Name())})
+			ex.clean = false
 		}
 	case p.PerValue:
 		w.sanctionArgs(d.enclosed, ex, func(argIdx int, o *objTrack) {
@@ -2036,7 +2098,7 @@ func computeProtocol(mod *ModuleInfo, res *protoResult, callNames map[*FuncNode]
 			if lit, ok := x.(*ast.FuncLit); ok {
 				sum := &ProtocolSummary{node: n, lit: true}
 				walkUnit(mod, res, n, lit.Body, true, sum, -1, nil)
-				if len(sum.viols) > 0 {
+				if len(sum.viols) > 0 || len(sum.redundant) > 0 {
 					res.lits = append(res.lits, sum)
 				}
 			}
@@ -2100,13 +2162,22 @@ func (pc *protoC) renderViol(v *ProtoViolation, fset *token.FileSet) string {
 // ---------------------------------------------------------------------
 // Public surface: replay, stats, partition, cache fingerprint.
 
+// protocolResult returns the engine result of the protocol behind a
+// registry analyzer name, or nil.
+func (m *ModuleInfo) protocolResult(name string) *protoResult {
+	for _, res := range m.typestate {
+		if res.pc.p.Name == name {
+			return res
+		}
+	}
+	return nil
+}
+
 // typestateDiags returns a protocol's rendered findings (by analyzer
 // name) for per-package replay.
 func (m *ModuleInfo) typestateDiags(name string) []protoDiag {
-	for _, res := range m.typestate {
-		if res.pc.p.Name == name {
-			return res.diags
-		}
+	if res := m.protocolResult(name); res != nil {
+		return res.diags
 	}
 	return nil
 }

@@ -38,10 +38,10 @@ type ScalingRow struct {
 // Report is the machine-readable benchmark summary easyio-bench emits
 // with -benchjson.
 type Report struct {
-	Kernel      KernelPerf         `json:"kernel"`
-	Workers     int                `json:"workers"`
-	SimWorkers  int                `json:"simworkers,omitempty"`
-	Fig9Scaling []ScalingRow       `json:"fig9_scaling,omitempty"`
+	Kernel      KernelPerf   `json:"kernel"`
+	Workers     int          `json:"workers"`
+	SimWorkers  int          `json:"simworkers,omitempty"`
+	Fig9Scaling []ScalingRow `json:"fig9_scaling,omitempty"`
 	// Fig9Speedup4W is wall(simworkers=1) / wall(simworkers=4) for the
 	// fig9 cell fleet — the tentpole's parallel-virtual-time payoff. On a
 	// single-CPU host this sits near 1.0 (GOMAXPROCS caps real

@@ -148,9 +148,9 @@ type Engine struct {
 	// dead counts cancelled events still resident in the queue, so both
 	// alloc and Timer.Stop can trigger compaction — a long run of Stops
 	// with no intervening schedules must not retain dead events.
-	dead    int
-	free    []*event
-	procs   map[*Proc]struct{}
+	dead  int
+	free  []*event
+	procs map[*Proc]struct{}
 	// procSeq numbers procs at creation so Shutdown can kill the
 	// surviving set in a deterministic (creation) order.
 	procSeq uint64
