@@ -120,6 +120,33 @@ func launch(fn func()) {
 	go fn()
 }
 `, 0},
+		{"iter.Pull flagged", `package fx
+import "iter"
+func bad(seq iter.Seq[int]) {
+	next, stop := iter.Pull(seq)
+	defer stop()
+	next()
+}
+`, 1},
+		{"iter.Pull2 flagged", `package fx
+import "iter"
+func bad(seq iter.Seq2[int, string]) {
+	next, stop := iter.Pull2(seq)
+	defer stop()
+	next()
+}
+`, 1},
+		{"sanctioned iter.Pull suppressed", `package fx
+import "iter"
+func launch(seq iter.Seq[int]) (func() (int, bool), func()) {
+	//easyio:allow nakedgo (the one sanctioned Proc coroutine backing)
+	return iter.Pull(seq)
+}
+`, 0},
+		{"local func named Pull quiet", `package fx
+func Pull(seq func(func(int) bool)) int { return 0 }
+func ok() int { return Pull(func(func(int) bool) {}) }
+`, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -47,8 +47,9 @@ import (
 // LRU eviction. v3: typestate protocol findings (with traces) in the
 // entries, and the protocol-spec fingerprint in the key prelude. v4:
 // fencehygiene runs on the typestate engine, so os.Exit and log.Fatal*
-// end a path like panic and no longer leak pending stores.
-const cacheVersion = "easyio-vet-v4"
+// end a path like panic and no longer leak pending stores. v5: nakedgo
+// also flags references to iter.Pull and iter.Pull2.
+const cacheVersion = "easyio-vet-v5"
 
 // defaultCacheEntries bounds the cache directory: edits churn closure
 // hashes, so without a cap the directory grows by a few entries per

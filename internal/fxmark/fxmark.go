@@ -139,13 +139,14 @@ func Start(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config
 
 	// Functional setup (untimed): pre-create the files.
 	shared := cfg.Workload == DWOM || cfg.Workload == DRBM
+	var zero []byte // prefill source, shared by every file of the cell
 	var sharedFile *nova.File
 	if shared {
 		f, err := fs.Create(nil, "/fxmark-shared")
 		if err != nil {
 			return nil, err
 		}
-		if err := prefill(fs, f, cfg.FileSize); err != nil {
+		if err := prefill(fs, f, cfg.FileSize, &zero); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -159,7 +160,7 @@ func Start(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config
 				return nil, err
 			}
 			if cfg.Workload == DRBL {
-				if err := prefill(fs, f, cfg.FileSize); err != nil {
+				if err := prefill(fs, f, cfg.FileSize, &zero); err != nil {
 					f.Close()
 					return nil, err
 				}
@@ -219,10 +220,15 @@ func Start(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config
 	return &Pending{res: res, end: end}, nil
 }
 
-// prefill functionally sizes a file (ephemeral-aware: metadata only).
-func prefill(fs fsapi.FileSystem, f *nova.File, size int64) error {
+// prefill functionally sizes a file (ephemeral-aware: metadata only) by
+// writing size zero bytes in 1 MB chunks. The chunk is allocated on first
+// use and kept in *zero, so all files of one cell share one buffer.
+func prefill(fs fsapi.FileSystem, f *nova.File, size int64, zero *[]byte) error {
 	const chunk = 1 << 20
-	b := make([]byte, chunk)
+	if *zero == nil {
+		*zero = make([]byte, chunk)
+	}
+	b := *zero
 	for off := int64(0); off < size; off += chunk {
 		n := size - off
 		if n > chunk {

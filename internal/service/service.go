@@ -308,6 +308,10 @@ func New(eng *sim.Engine, rt *caladan.Runtime, fs *core.FS, cfg Config) (*Server
 
 	root := rng.New(cfg.Seed ^ 0x5e4ce)
 	maxRead, maxWrite := 0, 0
+	// blob is the zero prefill source, grown when a tenant needs a larger
+	// file and sliced per tenant, so tenants share it instead of each
+	// allocating its own.
+	var blob []byte
 	for ti := range cfg.Tenants {
 		spec := cfg.Tenants[ti]
 		spec.Mix = spec.Mix.withDefaults()
@@ -335,13 +339,15 @@ func New(eng *sim.Engine, rt *caladan.Runtime, fs *core.FS, cfg Config) (*Server
 		}
 		// Pre-built per-tenant file set (functional context: no DMA in
 		// flight during setup).
-		blob := make([]byte, spec.FileSize)
+		if int64(len(blob)) < spec.FileSize {
+			blob = make([]byte, spec.FileSize)
+		}
 		for fi := 0; fi < spec.Files; fi++ {
 			f, err := fs.Create(nil, fmt.Sprintf("/svc-%s-%d", spec.Name, fi))
 			if err != nil {
 				return nil, fmt.Errorf("tenant %s: %w", spec.Name, err)
 			}
-			if _, err := fs.WriteAt(nil, f, 0, blob); err != nil {
+			if _, err := fs.WriteAt(nil, f, 0, blob[:spec.FileSize]); err != nil {
 				f.Close()
 				return nil, fmt.Errorf("tenant %s prefill: %w", spec.Name, err)
 			}

@@ -232,23 +232,40 @@ func TestClusterSendValidation(t *testing.T) {
 }
 
 // TestClusterPanicDeterministic: when several domains panic in one round,
-// the lowest domain id is re-raised for every worker count.
+// the lowest domain id is re-raised for every worker count, whether the
+// panic comes from an event callback or unwinds out of a proc body.
 func TestClusterPanicDeterministic(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		got := func() (r any) {
-			defer func() { r = recover() }()
-			c := NewCluster(workers)
-			for i := 0; i < 4; i++ {
-				i := i
-				c.AddDomain(fmt.Sprintf("p%d", i), func(d *Domain) {
-					d.Engine().After(0, func() { panic(fmt.Sprintf("boom %d", i)) })
-				})
+	sources := []struct {
+		name string
+		arm  func(e *Engine, msg string)
+	}{
+		{"event", func(e *Engine, msg string) {
+			e.After(0, func() { panic(msg) })
+		}},
+		{"proc", func(e *Engine, msg string) {
+			e.StartProc("bomb", func(p *Proc) {
+				p.Sleep(1)
+				panic(msg)
+			})
+		}},
+	}
+	for _, src := range sources {
+		for _, workers := range []int{1, 4} {
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				c := NewCluster(workers)
+				for i := 0; i < 4; i++ {
+					i := i
+					c.AddDomain(fmt.Sprintf("p%d", i), func(d *Domain) {
+						src.arm(d.Engine(), fmt.Sprintf("boom %d", i))
+					})
+				}
+				c.Run()
+				return nil
+			}()
+			if got != "boom 0" {
+				t.Fatalf("%s panic, workers=%d: re-raised %v, want boom 0", src.name, workers, got)
 			}
-			c.Run()
-			return nil
-		}()
-		if got != "boom 0" {
-			t.Fatalf("workers=%d re-raised %v, want boom 0", workers, got)
 		}
 	}
 }

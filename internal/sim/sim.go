@@ -8,10 +8,11 @@
 // something wall-clock goroutines cannot offer at the µs timescales the
 // paper studies.
 //
-// Arbitrary sequential Go code participates through a Proc: a coroutine
-// backed by a goroutine that is resumed synchronously from event context and
-// hands control back whenever it blocks on a simulation primitive (Sleep,
-// Park, or a higher-level primitive built on Pause). Exactly one Proc runs
+// Arbitrary sequential Go code participates through a Proc: an iter.Pull
+// coroutine that event context resumes synchronously and that hands control
+// back whenever it blocks on a simulation primitive (Sleep, Park, or a
+// higher-level primitive built on Pause). Each switch is a direct runtime
+// coroutine handoff, not a scheduler round-trip, and exactly one Proc runs
 // at a time, preserving determinism.
 //
 // The kernel's hot path is allocation-free in steady state: fired events
@@ -72,6 +73,7 @@ type event struct {
 	fn    func()
 	proc  *Proc   // evResume target
 	procs []*Proc // evBroadcast batch
+	cond  *Cond   // evBroadcast source; takes the drained batch back
 }
 
 // eventHeap is a hand-rolled binary min-heap ordered by (time, sequence).
@@ -239,6 +241,7 @@ func (e *Engine) release(ev *event) {
 	ev.fn = nil
 	ev.proc = nil
 	ev.procs = nil
+	ev.cond = nil
 	e.free = append(e.free, ev)
 }
 
@@ -327,7 +330,7 @@ func (e *Engine) step(deadline Time, bounded bool) bool {
 		// once the event has fired, stale Timer handles must see the
 		// new generation, and the pool slot can back events scheduled
 		// from inside the callback.
-		kind, fn, proc, procs := ev.kind, ev.fn, ev.proc, ev.procs
+		kind, fn, proc, procs, cond := ev.kind, ev.fn, ev.proc, ev.procs, ev.cond
 		e.release(ev)
 		e.inEvent = true
 		switch kind {
@@ -339,6 +342,7 @@ func (e *Engine) step(deadline Time, bounded bool) bool {
 			for _, p := range procs {
 				p.Resume()
 			}
+			cond.recycle(procs)
 		}
 		e.inEvent = false
 		return !e.stopped
@@ -413,7 +417,7 @@ func (e *Engine) setHorizon(bound Time) {
 // clearHorizon disarms the granted-horizon assertion.
 func (e *Engine) clearHorizon() { e.horizonOn = false }
 
-// Shutdown kills every live Proc so their goroutines exit. It must be
+// Shutdown kills every live Proc so their coroutines exit. It must be
 // called outside event context (after Run returns). The engine remains
 // usable for inspection but no further events should be scheduled.
 func (e *Engine) Shutdown() {
@@ -449,12 +453,16 @@ type killed struct{}
 // Exactly one Proc runs at any instant; it runs in zero virtual time until
 // it blocks on a primitive, at which point control returns to the engine.
 type Proc struct {
-	eng    *Engine
-	name   string
-	state  procState
-	resume chan bool // engine -> proc; value true means "kill"
-	yield  chan struct{}
-	fn     func(*Proc)
+	eng   *Engine
+	name  string
+	state procState
+	// next, stop and yield are the iter.Pull coroutine: next switches
+	// engine -> proc, yield switches proc -> engine (reporting false once
+	// stop has killed the proc), stop unwinds a paused proc.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	fn    func(*Proc)
 	// pseq is the creation sequence number; Shutdown kills survivors in
 	// this order so teardown is as deterministic as the run.
 	pseq uint64
@@ -469,13 +477,11 @@ type Proc struct {
 // schedule it with StartProc.
 func (e *Engine) NewProc(name string, fn func(*Proc)) *Proc {
 	p := &Proc{
-		eng:    e,
-		name:   name,
-		state:  procNew,
-		resume: make(chan bool),
-		yield:  make(chan struct{}),
-		fn:     fn,
-		pseq:   e.procSeq,
+		eng:   e,
+		name:  name,
+		state: procNew,
+		fn:    fn,
+		pseq:  e.procSeq,
 	}
 	e.procSeq++
 	e.procs[p] = struct{}{}
@@ -533,40 +539,28 @@ func (p *Proc) Resume() bool {
 		p.start()
 	case procPaused:
 		p.state = procRunning
-		p.resume <- false
 	}
-	<-p.yield
+	p.next()
 	if invariants.Enabled {
 		p.eng.running = nil
 	}
 	return p.state != procDone
 }
 
-// start launches the coroutine backing on first resume. Spawning a
-// goroutine allocates its stack, so this lives behind //easyio:coldpath:
-// it happens once per proc lifetime, never in steady state.
-//
-//easyio:coldpath (one-time coroutine-backing launch per proc)
-func (p *Proc) start() {
-	//easyio:allow nakedgo (the one sanctioned goroutine: Proc coroutine backing; *Proc is shared-guarded — every handoff crosses the resume/yield channels, so scheduler and coroutine never touch it concurrently)
-	go p.main()
-}
-
-func (p *Proc) main() {
+// body is the coroutine function: it runs fn, then marks the proc done.
+// A kill (yield reporting false) unwinds fn with the killed sentinel,
+// which body swallows; any other panic or Goexit propagates out of the
+// next/stop call that switched in, i.e. onto the resuming goroutine.
+func (p *Proc) body(yield func(struct{}) bool) {
+	p.yield = yield
 	defer func() {
+		p.state = procDone
+		delete(p.eng.procs, p)
 		if r := recover(); r != nil {
 			if _, ok := r.(killed); !ok {
-				// Re-panic on the engine goroutine would be nicer, but
-				// surfacing the original stack is more useful.
-				p.state = procDone
-				delete(p.eng.procs, p)
-				p.yield <- struct{}{}
 				panic(r)
 			}
 		}
-		p.state = procDone
-		delete(p.eng.procs, p)
-		p.yield <- struct{}{}
 	}()
 	p.fn(p)
 }
@@ -576,8 +570,7 @@ func (p *Proc) main() {
 // (Sleep, Park, uthread scheduling) are built on.
 func (p *Proc) Pause() {
 	p.state = procPaused
-	p.yield <- struct{}{}
-	if <-p.resume {
+	if !p.yield(struct{}{}) {
 		panic(killed{})
 	}
 }
@@ -603,8 +596,7 @@ func (p *Proc) kill() {
 		return
 	case procPaused:
 		p.state = procRunning
-		p.resume <- true
-		<-p.yield
+		p.stop()
 	}
 }
 
@@ -616,6 +608,11 @@ func (p *Proc) kill() {
 type Cond struct {
 	eng     *Engine
 	waiters []*Proc
+	// spare is a drained batch handed back once its broadcast event has
+	// fired. The next Broadcast swaps it in as the waiter list, so a
+	// steady wait/broadcast cycle alternates two slices and allocates
+	// nothing.
+	spare []*Proc
 }
 
 // NewCond returns a condition bound to e.
@@ -632,13 +629,20 @@ func (c *Cond) Wait(p *Proc) {
 // called from event context.
 func (c *Cond) Broadcast() {
 	ws := c.waiters
-	c.waiters = nil
 	if len(ws) == 0 {
 		return
 	}
+	c.waiters, c.spare = c.spare, nil
 	ev := c.eng.alloc(c.eng.now)
 	ev.kind = evBroadcast
 	ev.procs = ws
+	ev.cond = c
+}
+
+// recycle takes back a batch whose broadcast event has fired.
+func (c *Cond) recycle(ws []*Proc) {
+	clear(ws)
+	c.spare = ws[:0]
 }
 
 // Waiters reports how many procs are parked on c.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -205,6 +207,79 @@ func TestShutdownKillsParkedProc(t *testing.T) {
 	e.Shutdown()
 	if reached {
 		t.Fatal("parked proc ran past Pause after kill")
+	}
+}
+
+// TestShutdownCreationOrder pins the teardown order: Shutdown unwinds
+// paused procs in creation order, not in the procs map's random order.
+// Repeated rounds make a map-order teardown fail with near certainty.
+func TestShutdownCreationOrder(t *testing.T) {
+	for round := 0; round < 16; round++ {
+		e := NewEngine()
+		var order []string
+		for _, name := range []string{"a", "b", "c"} {
+			name := name
+			e.StartProc(name, func(p *Proc) {
+				defer func() { order = append(order, name) }()
+				p.Pause()
+			})
+		}
+		e.Run()
+		e.Shutdown()
+		if got := strings.Join(order, ","); got != "a,b,c" {
+			t.Fatalf("round %d: teardown order %s, want a,b,c", round, got)
+		}
+	}
+}
+
+// TestKillPauseInDefer: a killed proc whose deferred cleanup blocks on
+// Pause again still ends — the second Pause unwinds too — and its
+// coroutine goroutine exits.
+func TestKillPauseInDefer(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	cleaned := false
+	p := e.StartProc("stubborn", func(p *Proc) {
+		defer func() {
+			p.Pause()
+			cleaned = true
+		}()
+		p.Pause()
+	})
+	e.Run()
+	e.Shutdown()
+	if !p.Done() {
+		t.Fatal("killed proc not done")
+	}
+	if cleaned {
+		t.Fatal("deferred cleanup ran past its Pause after kill")
+	}
+	// At most the baseline: goroutines left over from earlier tests may
+	// still be exiting, but the proc's own must be gone.
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("goroutines = %d after Shutdown, above baseline %d", n, base)
+	}
+}
+
+// TestProcPanicReachesRunCaller: a panic in a proc body unwinds through
+// Resume onto the engine goroutine, so Engine.Run's caller can recover
+// it, and the proc is done.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	e := NewEngine()
+	p := e.StartProc("bomb", func(p *Proc) {
+		p.Sleep(5)
+		panic("boom")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.Run()
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v, want boom", got)
+	}
+	if !p.Done() {
+		t.Fatal("panicked proc not done")
 	}
 }
 
