@@ -11,6 +11,7 @@
 #     partition   partition.json deterministic, committed, sound
 #     redundancy  BENCH_redundancy.json parity trade-off bounds
 #     perfbench   _perfbench self-tests
+#     fuzz        native fuzzers, a fixed time each
 #     smoke       bench smoke and -parallel/-simworkers byte-identity
 set -eu
 
@@ -127,6 +128,12 @@ gate_perfbench() {
 	(cd _perfbench && go test .)
 }
 
+# Seed corpora already run under plain go test; this gate also mutates.
+gate_fuzz() {
+	echo '== fuzz (FuzzDeviceReadWrite, 15s)'
+	go test ./internal/pmem -run '^$' -fuzz '^FuzzDeviceReadWrite$' -fuzztime 15s
+}
+
 gate_smoke() {
 	echo '== bench smoke (one iteration of every benchmark)'
 	go test -bench=. -benchtime=1x -run '^$' ./internal/sim .
@@ -156,8 +163,8 @@ gate_smoke() {
 if [ $# -gt 0 ]; then
 	for g in "$@"; do
 		case $g in
-		fmt | vet | partition | redundancy | perfbench | smoke) ;;
-		*) echo "usage: $0 [fmt|vet|partition|redundancy|perfbench|smoke]..." >&2; exit 2 ;;
+		fmt | vet | partition | redundancy | perfbench | fuzz | smoke) ;;
+		*) echo "usage: $0 [fmt|vet|partition|redundancy|perfbench|fuzz|smoke]..." >&2; exit 2 ;;
 		esac
 	done
 	for g in "$@"; do
@@ -182,6 +189,7 @@ echo '== go test ./...'
 go test ./...
 
 gate_perfbench
+gate_fuzz
 
 echo '== go test -race -tags easyio_invariants ./...'
 go test -race -tags easyio_invariants ./...

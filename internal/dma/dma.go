@@ -275,8 +275,10 @@ func (c *Channel) finish(d *Desc) {
 		}
 	} else if d.Write && d.size() > 0 {
 		// Timing-only writes still dirty the persistence stream so crash
-		// images cannot resurrect stale bytes; record a zero page marker.
-		// (No-op for the functional plane beyond zeroing.)
+		// images cannot resurrect stale bytes: the 1-byte zero marker
+		// exists for the persist records and the store observer's dirty
+		// capture. It zeroes that byte on a present page and costs no
+		// page on an untouched block.
 		var zero [1]byte
 		dev.WriteAt(d.PMOff, zero[:])
 	}

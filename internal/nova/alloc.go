@@ -1,5 +1,7 @@
 package nova
 
+import "math/bits"
+
 // Run is a contiguous extent of data blocks on the device.
 type Run struct {
 	Off   int64 // device byte offset, BlockSize-aligned
@@ -15,9 +17,11 @@ func (r Run) Bytes() int64 { return int64(r.Pages) * BlockSize }
 type allocator struct {
 	dataOff int64
 	nblocks int64
-	used    []bool
-	hint    int64
-	free    int64
+	// used is a bitset: bit k%64 of word k/64 is set while block k is
+	// allocated. Bits past nblocks in the last word stay clear.
+	used []uint64
+	hint int64
+	free int64
 }
 
 func newAllocator(dataOff, devSize int64) *allocator {
@@ -25,7 +29,7 @@ func newAllocator(dataOff, devSize int64) *allocator {
 	return &allocator{
 		dataOff: dataOff,
 		nblocks: n,
-		used:    make([]bool, n),
+		used:    make([]uint64, (n+63)/64),
 		free:    n,
 	}
 }
@@ -33,32 +37,59 @@ func newAllocator(dataOff, devSize int64) *allocator {
 // FreeBlocks reports the number of unallocated blocks.
 func (a *allocator) FreeBlocks() int64 { return a.free }
 
+// wordMask splits [lo, hi) at its first word boundary: w is lo's word, m
+// the bits of [lo, end) within it.
+func wordMask(lo, hi int64) (w int64, m uint64, end int64) {
+	w = lo >> 6
+	end = min(hi, (w+1)<<6)
+	m = ^uint64(0) >> (64 - (end - lo)) << (lo & 63)
+	return w, m, end
+}
+
+// nextFree returns the first free block in [lo, hi), or hi if none is.
+func (a *allocator) nextFree(lo, hi int64) int64 {
+	for lo < hi {
+		if free := ^a.used[lo>>6] >> (lo & 63); free != 0 {
+			return min(lo+int64(bits.TrailingZeros64(free)), hi)
+		}
+		lo = (lo | 63) + 1
+	}
+	return hi
+}
+
+// nextUsed returns the first allocated block in [lo, hi), or hi if none is.
+func (a *allocator) nextUsed(lo, hi int64) int64 {
+	for lo < hi {
+		if used := a.used[lo>>6] >> (lo & 63); used != 0 {
+			return min(lo+int64(bits.TrailingZeros64(used)), hi)
+		}
+		lo = (lo | 63) + 1
+	}
+	return hi
+}
+
 // allocRun finds one contiguous run of up to want pages (first fit from
-// the rotating hint). ok is false when the device is full.
+// the rotating hint: [hint, nblocks), then [0, hint), extending without
+// wrapping). ok is false when the device is full.
 func (a *allocator) allocRun(want int) (Run, bool) {
 	if a.free == 0 || want <= 0 {
 		return Run{}, false
 	}
-	start := a.hint
-	for scanned := int64(0); scanned < a.nblocks; {
-		i := (start + scanned) % a.nblocks
-		if a.used[i] {
-			scanned++
-			continue
+	i := a.nextFree(a.hint, a.nblocks)
+	if i == a.nblocks {
+		if i = a.nextFree(0, a.hint); i == a.hint {
+			return Run{}, false
 		}
-		// Extend the run.
-		n := int64(0)
-		for i+n < a.nblocks && n < int64(want) && !a.used[i+n] {
-			n++
-		}
-		for k := int64(0); k < n; k++ {
-			a.used[i+k] = true
-		}
-		a.free -= n
-		a.hint = (i + n) % a.nblocks
-		return Run{Off: a.dataOff + i*BlockSize, Pages: int(n)}, true
 	}
-	return Run{}, false
+	end := a.nextUsed(i, min(a.nblocks, i+int64(want)))
+	for k := i; k < end; {
+		w, m, next := wordMask(k, end)
+		a.used[w] |= m
+		k = next
+	}
+	a.free -= end - i
+	a.hint = end % a.nblocks
+	return Run{Off: a.dataOff + i*BlockSize, Pages: int(end - i)}, true
 }
 
 // alloc satisfies pages blocks as a list of runs (contiguous when
@@ -82,25 +113,38 @@ func (a *allocator) alloc(dst []Run, pages int) ([]Run, bool) {
 	return runs, true
 }
 
+// blocks returns the block range [lo, hi) of pages blocks at device
+// offset off, panicking if it leaves the data area.
+func (a *allocator) blocks(off int64, pages int) (lo, hi int64) {
+	lo = (off - a.dataOff) / BlockSize
+	hi = lo + int64(pages)
+	if lo < 0 || hi > a.nblocks {
+		panic("nova: block run outside the data area")
+	}
+	return lo, hi
+}
+
 // freeRun returns a run to the pool.
 func (a *allocator) freeRun(r Run) {
-	i := (r.Off - a.dataOff) / BlockSize
-	for k := int64(0); k < int64(r.Pages); k++ {
-		if !a.used[i+k] {
+	lo, hi := a.blocks(r.Off, r.Pages)
+	for k := lo; k < hi; {
+		w, m, next := wordMask(k, hi)
+		if a.used[w]&m != m {
 			panic("nova: double free of block")
 		}
-		a.used[i+k] = false
+		a.used[w] &^= m
+		k = next
 	}
 	a.free += int64(r.Pages)
 }
 
 // markUsed claims blocks during recovery.
 func (a *allocator) markUsed(off int64, pages int) {
-	i := (off - a.dataOff) / BlockSize
-	for k := int64(0); k < int64(pages); k++ {
-		if !a.used[i+k] {
-			a.used[i+k] = true
-			a.free--
-		}
+	lo, hi := a.blocks(off, pages)
+	for k := lo; k < hi; {
+		w, m, next := wordMask(k, hi)
+		a.free -= int64(bits.OnesCount64(m &^ a.used[w]))
+		a.used[w] |= m
+		k = next
 	}
 }

@@ -3,7 +3,9 @@
 //
 //   - A functional plane: a sparse, byte-addressable persistent store with
 //     real contents, store/fence persistence semantics and crash-image
-//     generation (what survives a power failure).
+//     generation (what survives a power failure). Only pages that have
+//     taken a non-zero store hold memory; zero stores to untouched pages
+//     hold none.
 //   - A temporal plane: bandwidth arbitration between concurrent transfer
 //     flows (CPU memcpy loops and DMA channel transfers) using weighted
 //     max-min fair sharing under the capacity model in perfmodel —
@@ -17,6 +19,7 @@
 package pmem
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -26,6 +29,10 @@ import (
 )
 
 const pageSize = perfmodel.PageSize
+
+// zeroPage is what every absent page reads as; WriteAt compares against it
+// to leave pages that would only ever hold zeros unmaterialised.
+var zeroPage [pageSize]byte
 
 // Kind distinguishes who is moving the data; it selects the rate model.
 type Kind int
@@ -200,9 +207,7 @@ func (d *Device) ReadAt(b []byte, off int64) {
 		if p := d.pages[pg]; p != nil {
 			copy(b[:n], p[po:int(po)+n])
 		} else {
-			for i := 0; i < n; i++ {
-				b[i] = 0
-			}
+			clear(b[:n])
 		}
 		b = b[n:]
 		off += int64(n)
@@ -211,7 +216,10 @@ func (d *Device) ReadAt(b []byte, off int64) {
 
 // WriteAt stores b at off. The store is immediately visible to readers but
 // only becomes durable at the next Fence (stores between fences may
-// survive a crash in any subset — see CrashImage).
+// survive a crash in any subset — see CrashImage). Crash tracking and the
+// store observer see every store; the part of a store that is all zero
+// and falls on an absent page changes nothing readable, so it allocates
+// no page.
 func (d *Device) WriteAt(off int64, b []byte) {
 	d.check(off, len(b))
 	if invariants.Enabled && d.tracking && len(d.records) > 0 &&
@@ -230,11 +238,11 @@ func (d *Device) WriteAt(off int64, b []byte) {
 		if n > len(b) {
 			n = len(b)
 		}
-		p := d.pages[pg]
-		if p == nil {
-			p = d.addPage(pg)
+		if p := d.pages[pg]; p != nil {
+			copy(p[po:int(po)+n], b[:n])
+		} else if !bytes.Equal(b[:n], zeroPage[:n]) {
+			copy(d.addPage(pg)[po:int(po)+n], b[:n])
 		}
-		copy(p[po:int(po)+n], b[:n])
 		b = b[n:]
 		off += int64(n)
 	}
@@ -251,11 +259,11 @@ func (d *Device) record(off int64, b []byte) {
 	d.records = append(d.records, PersistRecord{Epoch: d.epoch, Off: off, Data: cp})
 }
 
-// addPage demand-allocates the backing page on first touch. Each page is
-// allocated once per device lifetime; the steady-state working set hits
-// the map.
+// addPage demand-allocates the backing page on its first non-zero store.
+// Each page is allocated once per device lifetime; the steady-state
+// working set hits the map.
 //
-//easyio:coldpath (first-touch demand paging; bounded by the device size)
+//easyio:coldpath (first non-zero store demand paging; bounded by the device size)
 func (d *Device) addPage(pg int64) *[pageSize]byte {
 	p := new([pageSize]byte)
 	d.pages[pg] = p

@@ -348,3 +348,176 @@ func TestRecordsReturnsDeepCopy(t *testing.T) {
 		t.Fatalf("record aliased: %+v", fresh[1])
 	}
 }
+
+func TestZeroStoreToUntouchedPageHoldsNoPage(t *testing.T) {
+	_, d := newDev()
+	d.WriteAt(pageSize-3, make([]byte, 2*pageSize+9))
+	d.Write8(5*pageSize, 0)
+	if n := len(d.pages); n != 0 {
+		t.Fatalf("zero stores materialised %d pages", n)
+	}
+	got := bytes.Repeat([]byte{0xff}, 3*pageSize)
+	d.ReadAt(got, 0)
+	if !bytes.Equal(got, make([]byte, len(got))) {
+		t.Fatal("untouched pages do not read back zero")
+	}
+}
+
+func TestZeroStoreOverwritesPresentPage(t *testing.T) {
+	_, d := newDev()
+	d.WriteAt(100, bytes.Repeat([]byte{0xab}, 64))
+	d.WriteAt(110, make([]byte, 20))
+	got := make([]byte, 64)
+	d.ReadAt(got, 100)
+	want := bytes.Repeat([]byte{0xab}, 64)
+	copy(want[10:30], make([]byte, 20))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("zero store over written bytes: got %x", got)
+	}
+	// A page that becomes all zero stays resident.
+	d.WriteAt(0, make([]byte, pageSize))
+	if n := len(d.pages); n != 1 {
+		t.Fatalf("pages = %d after zeroing the only page, want 1", n)
+	}
+}
+
+func TestZeroStoreMaterialisesOnlyNonZeroPages(t *testing.T) {
+	_, d := newDev()
+	const k = 7
+	b := make([]byte, 2*pageSize)
+	b[pageSize+5] = 0x5a // page k+1 only
+	d.WriteAt(k*pageSize, b)
+	if d.pages[k] != nil || d.pages[k+1] == nil || len(d.pages) != 1 {
+		t.Fatalf("resident pages: k=%v k+1=%v total=%d, want only k+1",
+			d.pages[k] != nil, d.pages[k+1] != nil, len(d.pages))
+	}
+	got := make([]byte, len(b))
+	d.ReadAt(got, k*pageSize)
+	if !bytes.Equal(got, b) {
+		t.Fatal("mixed zero/non-zero store did not read back")
+	}
+}
+
+func TestZeroStoreIsTrackedAndCrashImageMatches(t *testing.T) {
+	_, d := newDev()
+	d.WriteAt(0, []byte("base"))
+	d.EnableTracking()
+	d.WriteAt(3*pageSize, make([]byte, 16)) // elided: untouched page
+	d.WriteAt(1, make([]byte, 2))           // clears "as"
+	d.Fence()
+	d.WriteAt(9*pageSize+1, []byte{0, 0, 7})
+	d.Fence()
+	recs := d.Records()
+	if len(recs) != 3 || recs[0].Off != 3*pageSize || len(recs[0].Data) != 16 {
+		t.Fatalf("records = %+v, want the elided store first", recs)
+	}
+	if d.pages[3] != nil {
+		t.Fatal("elided store materialised its page")
+	}
+	img := d.CrashImage([]int{0, 1, 2})
+	for _, pg := range []int64{0, 3, 9} {
+		want := make([]byte, pageSize)
+		got := make([]byte, pageSize)
+		d.ReadAt(want, pg*pageSize)
+		img.ReadAt(got, pg*pageSize)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("crash image page %d differs from the device", pg)
+		}
+	}
+}
+
+func TestZeroStoreReachesDirtyObserver(t *testing.T) {
+	_, d := newDev()
+	type store struct {
+		off int64
+		n   int
+	}
+	var seen []store
+	d.SetDirtyFunc(func(off int64, n int) { seen = append(seen, store{off, n}) })
+	d.WriteAt(4*pageSize, make([]byte, 10))
+	d.WriteAt(8*pageSize+3, []byte{0})
+	if len(seen) != 2 || seen[0] != (store{4 * pageSize, 10}) || seen[1] != (store{8*pageSize + 3, 1}) {
+		t.Fatalf("dirty observer saw %v", seen)
+	}
+	if n := len(d.pages); n != 0 {
+		t.Fatalf("zero stores materialised %d pages", n)
+	}
+}
+
+// FuzzDeviceReadWrite drives a small device with zero-heavy stores, reads
+// and fences, and checks every read against a flat byte model. A page
+// must be resident exactly when some store has put a non-zero byte on
+// it, and with tracking on, a crash image over every record must equal
+// the device.
+func FuzzDeviceReadWrite(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 255, 3, 0, 0, 255})
+	f.Add([]byte{1, 15, 250, 3, 2, 15, 250, 3, 0, 15, 252, 0, 3, 15, 240, 1})
+	f.Add([]byte{2, 0, 7, 200, 4, 0, 0, 0, 0, 0, 8, 100, 3, 0, 0, 255, 1, 255, 255, 255})
+	f.Add([]byte{6, 31, 255, 2, 5, 32, 0, 1, 8, 63, 254, 9, 9, 0, 0, 0, 3, 31, 0, 255})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		const size = 64 << 10
+		d := New(sim.NewEngine(), perfmodel.MicroNode(), size)
+		d.EnableTracking()
+		model := make([]byte, size)
+		var touched [size / pageSize]bool
+		// Each 4-byte op stores up to 8 KB and tracking copies it again;
+		// cap the count so mutator-grown inputs stay fast and small.
+		if len(in) > 4*64 {
+			in = in[:4*64]
+		}
+		buf := make([]byte, 256*32)
+		for ; len(in) >= 4; in = in[4:] {
+			op, off, n := in[0], int64(in[1])<<8|int64(in[2]), (int(in[3])+1)*32
+			if rest := int(size - off); n > rest {
+				n = rest
+			}
+			b := buf[:n]
+			clear(b)
+			switch op % 5 {
+			case 0: // all zero
+			case 1: // zero but for one byte
+				b[int(op)*7%n] = op | 1
+			case 2: // filled
+				b[0] = op
+				for k := 1; k < n; k *= 2 {
+					copy(b[k:], b[:k])
+				}
+			case 3:
+				d.ReadAt(b, off)
+				if !bytes.Equal(b, model[off:off+int64(n)]) {
+					t.Fatalf("read [%d, %d) differs from the model", off, off+int64(n))
+				}
+				continue
+			case 4:
+				d.Fence()
+				continue
+			}
+			d.WriteAt(off, b)
+			copy(model[off:], b)
+			for lo, end := off, off+int64(n); lo < end; {
+				hi := min(end, (lo/pageSize+1)*pageSize)
+				if !bytes.Equal(model[lo:hi], zeroPage[:hi-lo]) {
+					touched[lo/pageSize] = true
+				}
+				lo = hi
+			}
+		}
+		for pg, want := range touched {
+			if got := d.pages[int64(pg)] != nil; got != want {
+				t.Fatalf("page %d resident = %v, want %v", pg, got, want)
+			}
+		}
+		all := make([]int, len(d.records))
+		for i := range all {
+			all[i] = i
+		}
+		for _, dev := range []*Device{d, d.CrashImage(all)} {
+			got := make([]byte, size)
+			dev.ReadAt(got, 0)
+			if !bytes.Equal(got, model) {
+				t.Fatalf("contents differ from the model (crash image: %v)", dev != d)
+			}
+		}
+	})
+}
