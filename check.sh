@@ -47,6 +47,18 @@ vet_uncached() {
 	"$tmp/easyio-vet" -nocache -parallel 4 -partition "$tmp/part4.json" ./... > "$tmp/p4.txt"
 }
 
+# host_of prints the first host block of a BENCH json on one line
+# ("numcpu=N gomaxprocs=N go=V goarch=A"), or nothing if it has none.
+host_of() {
+	grep -q '"host": {' "$1" || return 0
+	line=
+	for k in numcpu gomaxprocs go goarch; do
+		v=$(grep -o "\"$k\": [^,}]*" "$1" | sed -n 1p | sed 's/^[^:]*: //; s/"//g')
+		line="$line${line:+ }$k=$v"
+	done
+	echo "$line"
+}
+
 gate_vet() {
 	echo '== easyio-vet ./... (SARIF and partition report to /tmp)'
 	vet_main
@@ -57,7 +69,7 @@ gate_vet() {
 	test "$n" -ge 24 || { echo "only $n analyzers registered"; exit 1; }
 	go test ./internal/analysis -run TestFixtureCoverage -v
 
-	echo '== easyio-vet cache smoke (warm rerun byte-identical, all hits, faster, within 2x of BENCH_vet.json)'
+	echo '== easyio-vet cache smoke (warm rerun byte-identical, all hits, faster, host-stamped, within 2x of BENCH_vet.json)'
 	"$tmp/easyio-vet" -cache-dir "$tmp/cache" -benchjson "$tmp/cold.json" ./... > "$tmp/cold.txt"
 	"$tmp/easyio-vet" -cache-dir "$tmp/cache" -benchjson "$tmp/warm.json" ./... > "$tmp/warm.txt"
 	diff "$tmp/cold.txt" "$tmp/warm.txt"
@@ -67,6 +79,10 @@ gate_vet() {
 	warm=$(grep -o '"wall_ms": [0-9.eE+-]*' "$tmp/warm.json" | grep -o '[0-9.eE+-]*$')
 	echo "cold $cold ms, warm $warm ms"
 	awk -v c="$cold" -v w="$warm" 'BEGIN { exit !(w < c) }' || { echo "warm run ($warm ms) not faster than cold ($cold ms)"; exit 1; }
+	host=$(host_of "$tmp/cold.json")
+	case " $host " in "  " | *"= "*) echo "cold BENCH json has no complete host block: '$host'"; exit 1 ;; esac
+	base_host=$(host_of BENCH_vet.json)
+	echo "vet host: $host; baseline host ${base_host:-unknown}"
 	# Regression gate: fresh cold/warm wall time must stay within 2x of
 	# the committed BENCH_vet.json baseline (cold first, warm second).
 	base_cold=$(grep -o '"wall_ms": [0-9.]*' BENCH_vet.json | grep -o '[0-9.]*' | sed -n 1p)

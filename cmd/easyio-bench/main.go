@@ -6,7 +6,7 @@
 //	easyio-bench -exp all            # everything (minutes)
 //	easyio-bench -exp fig9 -quick    # one figure, short windows
 //	easyio-bench -exp fig2,fig3,table2
-//	easyio-bench -exp all -parallel 8 -benchjson BENCH_sim.json
+//	easyio-bench -exp all -parallel 8
 //
 // Experiments: fig1 fig2 fig3 fig4 fig8 fig9 fig10 fig11 fig12 table1
 // table2. Independent sweep points fan out across -parallel workers; the
@@ -20,7 +20,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"github.com/easyio-sim/easyio/internal/bench"
 	"github.com/easyio-sim/easyio/internal/sim"
@@ -33,7 +32,6 @@ func main() {
 	points := flag.Int("crashpoints", 1000, "crash states per Table 2 workload")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent sweep-point jobs (output is identical for any value)")
 	simworkers := flag.Int("simworkers", runtime.GOMAXPROCS(0), "goroutines per multi-domain simulation (output is identical for any value)")
-	benchjson := flag.String("benchjson", "", "write kernel perf + per-experiment wall-clock JSON to this file")
 	flag.Parse()
 
 	if *parallel < 1 {
@@ -63,16 +61,10 @@ func main() {
 	}
 	all := want["all"]
 	ok := true
-	report := &bench.Report{Workers: *parallel, SimWorkers: *simworkers}
 	run := func(name string, fn func()) {
 		if all || want[name] {
 			fmt.Printf("==== %s ====\n", name)
-			start := time.Now()
 			fn()
-			report.Experiments = append(report.Experiments, bench.ExperimentTiming{
-				Name:   name,
-				WallMS: float64(time.Since(start).Microseconds()) / 1000,
-			})
 		}
 	}
 
@@ -97,23 +89,6 @@ func main() {
 		}
 	})
 
-	if *benchjson != "" {
-		report.Kernel = bench.MeasureKernelPerf()
-		report.Fig9Scaling, report.Fig9Speedup4W = bench.MeasureFig9Scaling(measure, *seed)
-		f, err := os.Create(*benchjson)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
 	if !ok {
 		os.Exit(1)
 	}

@@ -76,6 +76,16 @@ type benchReport struct {
 	// (typestate analyzers include their engine precomputation); near
 	// empty on a fully warm run, where nothing is re-analyzed.
 	Analyzers map[string]float64 `json:"analyzers"`
+	// Host stamps the machine the wall times were taken on, so a gate
+	// against a committed baseline can tell when the host class differs.
+	Host hostInfo `json:"host"`
+}
+
+type hostInfo struct {
+	NumCPU     int    `json:"numcpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+	GOARCH     string `json:"goarch"`
 }
 
 func main() {
@@ -215,6 +225,12 @@ func main() {
 			Findings:    len(diags),
 			Workers:     *parallel,
 			Analyzers:   res.AnalyzerMS,
+			Host: hostInfo{
+				NumCPU:     runtime.NumCPU(),
+				GOMAXPROCS: runtime.GOMAXPROCS(0),
+				Go:         runtime.Version(),
+				GOARCH:     runtime.GOARCH,
+			},
 		}
 		b, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {

@@ -28,6 +28,26 @@ func TestInstanceConstruction(t *testing.T) {
 	}
 }
 
+// TestFig1DecompositionMatches pins Fig1's cross-check: the simulated
+// NOVA latency of every (op, size) cell must stay within 1 µs of its
+// syscall + indexing + metadata + memcpy decomposition, which Fig1
+// reports as a WARNING line.
+func TestFig1DecompositionMatches(t *testing.T) {
+	var sb strings.Builder
+	Fig1(&sb)
+	out := sb.String()
+	for _, op := range []string{"write", "read"} {
+		if !strings.Contains(out, "Figure 1 — NOVA "+op+" latency breakdown") {
+			t.Fatalf("Fig1 output has no %s table:\n%s", op, out)
+		}
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "WARNING:") {
+			t.Errorf("%s", line)
+		}
+	}
+}
+
 func TestFig8Shapes(t *testing.T) {
 	// EasyIO must have the lowest 64K write latency of all systems, and
 	// its CPU share must be well below 1.
